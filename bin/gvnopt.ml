@@ -17,12 +17,12 @@
      gvnopt --rules=dump                   print the rewrite-rule catalog
      gvnopt --rules=verify                 run the rule-soundness verifier
      gvnopt --rules=off file.mc            optimize without the rule catalog
-     gvnopt --schedule file.mc             certify the identity placement
+     gvnopt file.mc --schedule             certify the identity placement
                                            with the schedule-legality checker
      gvnopt --schedule=dump file.mc        per-value early/best/late blocks
                                            and speculation safety
      gvnopt --schedule=lint file.mc        hoist/sink opportunity lints
-     gvnopt --gcm file.mc                  global code motion after GVN:
+     gvnopt file.mc --gcm                  global code motion after GVN:
                                            certified placement rewrite +
                                            observable-behavior diff
      gvnopt --gcm=dump file.mc             + every move (hoist/sink)
@@ -849,8 +849,8 @@ let cmd =
       & opt jobs_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Compile routines on an $(docv)-domain work-stealing pool (the \
-             calling domain plus $(docv)-1 spawned ones). Outputs are emitted \
+            "Compile routines on an $(docv)-domain pool (the calling domain \
+             plus $(docv)-1 spawned ones). Outputs are emitted \
              in input order and are byte-identical to a sequential run; \
              $(b,--jobs=1) (the default) spawns nothing.")
   in

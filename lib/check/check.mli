@@ -11,7 +11,7 @@
       pure instructions, trivial φs, forwarder blocks, constant branches).
 
     Checkers return {!Diagnostic.t} lists and never raise; {!check_exn} is
-    the bridge for legacy raise-on-error callers such as [Ssa.Verify]. *)
+    the bridge for raise-on-error callers such as the test suites. *)
 
 module Diagnostic = Diagnostic
 module Cfg = Cfg_check

@@ -6,9 +6,11 @@
    canonical carrying edge. Everything semantically visible — operators,
    successor order (Branch true/false, Switch case order), parameter count,
    routine name, the caller's fingerprint — is rendered verbatim, so equal
-   canonical forms really are the same compilation problem. *)
+   canonical forms really are the same compilation problem. The canonical
+   form is itself the key: the table's string equality is the
+   verify-on-hit, so no structural hash can collide into a wrong answer. *)
 
-type key = { khash : int; kcanon : string }
+type key = string
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization. *)
@@ -107,31 +109,18 @@ let canonical_form ?(fingerprint = "") (f : Ir.Func.t) =
     order;
   Buffer.contents buf
 
-(* FNV-1a, folded to OCaml's 63-bit nonnegative int range. *)
-let fnv1a s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Int64.to_int !h land max_int
-
-let key_of ?fingerprint f =
-  let kcanon = canonical_form ?fingerprint f in
-  { khash = fnv1a kcanon; kcanon }
+let key_of = canonical_form
 
 (* ------------------------------------------------------------------ *)
-(* In-memory tier. *)
-
-type entry = { canon : string; mutable value : string }
+(* In-memory tier. Every resident key sits in [fifo] exactly once: an
+   overwrite keeps its slot, and eviction pops the oldest slot and removes
+   that key. *)
 
 type t = {
   lock : Mutex.t;
-  table : (int, entry list ref) Hashtbl.t; (* hash -> bucket, collision-aware *)
-  fifo : (int * string) Queue.t; (* insertion order, for eviction *)
+  table : (key, string) Hashtbl.t;
+  fifo : key Queue.t; (* insertion order, for eviction *)
   capacity : int;
-  mutable n_entries : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -145,88 +134,42 @@ let create ?(capacity = 4096) () =
     table = Hashtbl.create 256;
     fifo = Queue.create ();
     capacity = max 1 capacity;
-    n_entries = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let count obs name = Obs.add_o obs name 1
 
 let find ?obs t key =
   let r =
-    locked t @@ fun () ->
-    match Hashtbl.find_opt t.table key.khash with
-    | None ->
-        t.misses <- t.misses + 1;
-        None
-    | Some bucket -> (
-        (* verify-on-hit: a hash collision must read as a miss *)
-        match List.find_opt (fun e -> String.equal e.canon key.kcanon) !bucket with
-        | Some e ->
-            t.hits <- t.hits + 1;
-            Some e.value
-        | None ->
-            t.misses <- t.misses + 1;
-            None)
+    Mutex.protect t.lock @@ fun () ->
+    let r = Hashtbl.find_opt t.table key in
+    (match r with Some _ -> t.hits <- t.hits + 1 | None -> t.misses <- t.misses + 1);
+    r
   in
   count obs (match r with Some _ -> "ccache.hits" | None -> "ccache.misses");
   r
 
-(* Remove the oldest entry. FIFO slots can be stale (an overwritten entry
-   keeps its original slot), so pop until one still resolves. *)
-let evict_oldest t =
-  let removed = ref false in
-  while (not !removed) && not (Queue.is_empty t.fifo) do
-    let h, canon = Queue.pop t.fifo in
-    match Hashtbl.find_opt t.table h with
-    | None -> ()
-    | Some bucket ->
-        let before = List.length !bucket in
-        bucket := List.filter (fun e -> not (String.equal e.canon canon)) !bucket;
-        if List.length !bucket < before then begin
-          removed := true;
-          t.n_entries <- t.n_entries - 1;
-          if !bucket = [] then Hashtbl.remove t.table h
-        end
-  done;
-  !removed
-
+(* One add inserts at most one key, so it evicts at most one. *)
 let add ?obs t key value =
   let evicted =
-    locked t @@ fun () ->
-    let bucket =
-      match Hashtbl.find_opt t.table key.khash with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.add t.table key.khash b;
-          b
-    in
-    (match List.find_opt (fun e -> String.equal e.canon key.kcanon) !bucket with
-    | Some e -> e.value <- value (* overwrite in place; keeps its FIFO slot *)
-    | None ->
-        bucket := { canon = key.kcanon; value } :: !bucket;
-        Queue.push (key.khash, key.kcanon) t.fifo;
-        t.n_entries <- t.n_entries + 1);
-    let evicted = ref 0 in
-    while t.n_entries > t.capacity do
-      if evict_oldest t then incr evicted else t.n_entries <- t.capacity
-    done;
-    t.evictions <- t.evictions + !evicted;
-    !evicted
+    Mutex.protect t.lock @@ fun () ->
+    let before = Hashtbl.length t.table in
+    Hashtbl.replace t.table key value;
+    if Hashtbl.length t.table > before then Queue.push key t.fifo;
+    Hashtbl.length t.table > t.capacity
+    && begin
+         Hashtbl.remove t.table (Queue.pop t.fifo);
+         t.evictions <- t.evictions + 1;
+         true
+       end
   in
-  for _ = 1 to evicted do
-    count obs "ccache.evictions"
-  done
+  if evicted then count obs "ccache.evictions"
 
 let stats t =
-  locked t @@ fun () ->
-  { entries = t.n_entries; hits = t.hits; misses = t.misses; evictions = t.evictions }
+  Mutex.protect t.lock @@ fun () ->
+  { entries = Hashtbl.length t.table; hits = t.hits; misses = t.misses; evictions = t.evictions }
 
 (* ------------------------------------------------------------------ *)
 (* Persisted tier. Format (all counts in decimal ASCII):
@@ -236,36 +179,37 @@ let stats t =
      <hash> <canon-bytes> <value-bytes>\n
      <canon><value>\n            (repeated n times)
 
-   Loads are corruption-tolerant by contract: any read failure, bad count,
-   version mismatch or short file yields a cold cache. Entries are written
-   oldest-first so a reloaded cache evicts in the same order. *)
+   <hash> is the 63-bit FNV-1a of <canon>, kept as the file's integrity
+   check. Loads are corruption-tolerant by contract: any read failure, bad
+   count, hash mismatch, version mismatch or short file yields a cold
+   cache. Entries are written oldest-first so a reloaded cache evicts in
+   the same order. *)
 
 let format_version = "pgvn-ccache/1"
+
+(* 64-bit FNV-1a folded to OCaml's nonnegative int range. Native ints wrap
+   modulo 2^63, and xor and multiply never carry into lower bits, so the
+   low bits the fold keeps are the 64-bit hash's own. *)
+let fnv1a s =
+  let h = ref 0x4bf29ce484222325 (* the offset basis, top bit dropped *) in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
+  !h land max_int
 
 let save t path =
   (* snapshot under the lock, write outside it *)
   let entries =
-    locked t @@ fun () ->
-    Queue.fold
-      (fun acc (h, canon) ->
-        match Hashtbl.find_opt t.table h with
-        | None -> acc
-        | Some bucket -> (
-            match List.find_opt (fun e -> String.equal e.canon canon) !bucket with
-            | Some e -> (h, e.canon, e.value) :: acc
-            | None -> acc))
-      [] t.fifo
+    Mutex.protect t.lock @@ fun () ->
+    List.rev (Queue.fold (fun acc k -> (k, Hashtbl.find t.table k) :: acc) [] t.fifo)
   in
-  let entries = List.rev entries in
   let tmp = path ^ ".tmp" in
   try
     let oc = open_out_bin tmp in
     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
         Printf.fprintf oc "%s\n%d\n" format_version (List.length entries);
         List.iter
-          (fun (h, canon, value) ->
-            Printf.fprintf oc "%d %d %d\n%s%s\n" h (String.length canon) (String.length value)
-              canon value)
+          (fun (canon, value) ->
+            Printf.fprintf oc "%d %d %d\n%s%s\n" (fnv1a canon) (String.length canon)
+              (String.length value) canon value)
           entries);
     Sys.rename tmp path
   with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
@@ -294,18 +238,12 @@ let load ?capacity path =
            in
            let canon = really_input_string ic cl in
            let value = really_input_string ic vl in
-           if input_char ic <> '\n' then raise Corrupt;
-           let key = { khash = h; kcanon = canon } in
-           if key.khash <> fnv1a canon then raise Corrupt;
-           add t key value
+           if input_char ic <> '\n' || h <> fnv1a canon then raise Corrupt;
+           add t canon value
          done)
    with Corrupt | End_of_file | Sys_error _ | Failure _ ->
      (* cold cache on any corruption: drop whatever partially loaded *)
      Hashtbl.reset t.table;
      Queue.clear t.fifo;
-     t.n_entries <- 0;
      t.evictions <- 0);
-  (* loading is not cache traffic: don't let partial loads skew stats *)
-  t.hits <- 0;
-  t.misses <- 0;
   t

@@ -1,142 +1,64 @@
-(* See pool.mli for the contract. The deques are mutex-protected rather
-   than lock-free: a batch enqueues whole routines (milliseconds of work
-   each), so deque traffic is cold and an uncontended lock/unlock per
-   operation is noise — while the locking makes owner-pop vs thief-steal
-   trivially race-free on every OCaml 5.x runtime. *)
+(* See pool.mli for the contract. Every batch is one flat array of
+   independent tasks and no task spawns another, so a single shared cursor
+   balances the load as well as per-worker deques with stealing would: a
+   worker that finishes early simply claims the next unclaimed index. Idle
+   workers block on [posted] rather than spin, so an oversubscribed host
+   (more domains than cores) loses nothing to polling. *)
 
-(* ------------------------------------------------------------------ *)
-(* Per-worker deque: the owner pushes and pops at the bottom (LIFO keeps
-   a worker on its own cache-warm items), thieves take from the top. *)
+type batch = {
+  size : int;
+  run : int -> unit; (* runs task [i] and records its result or exception *)
+  next : int Atomic.t; (* the shared cursor: the next unclaimed index *)
+  finished : int Atomic.t; (* tasks run to completion *)
+}
 
-type task = unit -> unit
-
-module Deque = struct
-  type t = {
-    lock : Mutex.t;
-    mutable buf : task array;
-    mutable top : int; (* next steal slot: buf.(top .. bottom-1) pending *)
-    mutable bottom : int;
-  }
-
-  let dummy_task () = ()
-
-  let create () = { lock = Mutex.create (); buf = Array.make 64 dummy_task; top = 0; bottom = 0 }
-
-  let locked d f =
-    Mutex.lock d.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock d.lock) f
-
-  let push d task =
-    locked d @@ fun () ->
-    let n = Array.length d.buf in
-    if d.bottom = n then
-      if d.top > 0 then begin
-        (* compact: slide the pending window back to index 0 *)
-        Array.blit d.buf d.top d.buf 0 (d.bottom - d.top);
-        d.bottom <- d.bottom - d.top;
-        d.top <- 0
-      end
-      else begin
-        let bigger = Array.make (2 * n) dummy_task in
-        Array.blit d.buf 0 bigger 0 n;
-        d.buf <- bigger
-      end;
-    d.buf.(d.bottom) <- task;
-    d.bottom <- d.bottom + 1
-
-  let pop d =
-    locked d @@ fun () ->
-    if d.top >= d.bottom then None
-    else begin
-      d.bottom <- d.bottom - 1;
-      let t = d.buf.(d.bottom) in
-      d.buf.(d.bottom) <- dummy_task;
-      Some t
-    end
-
-  let steal d =
-    locked d @@ fun () ->
-    if d.top >= d.bottom then None
-    else begin
-      let t = d.buf.(d.top) in
-      d.buf.(d.top) <- dummy_task;
-      d.top <- d.top + 1;
-      Some t
-    end
-end
-
-(* ------------------------------------------------------------------ *)
+(* The empty batch a pool holds between [map]s, so a finished batch's
+   closure (its inputs and results) is not kept alive until the next one. *)
+let idle = { size = 0; run = ignore; next = Atomic.make 0; finished = Atomic.make 0 }
 
 type t = {
   domains : int;
-  deques : Deque.t array; (* one per worker; index 0 is the caller *)
-  remaining : int Atomic.t; (* tasks of the current batch still unfinished *)
-  lock : Mutex.t; (* guards [generation] and [quit] *)
-  cond : Condition.t;
-  mutable generation : int; (* bumped once per batch; workers sleep on it *)
+  lock : Mutex.t; (* guards [current], [generation] and [quit] *)
+  posted : Condition.t; (* a batch was posted, or [quit] was set *)
+  drained : Condition.t; (* some batch's last task finished *)
+  mutable current : batch;
+  mutable generation : int; (* bumped once per batch *)
   mutable quit : bool;
-  mutable handles : unit Domain.t list; (* spawned workers (ids 1..n-1) *)
+  mutable handles : unit Domain.t list; (* the [domains - 1] spawned workers *)
   mutable alive : bool;
 }
 
 let size t = t.domains
 
-(* One task, defensively: the [map] wrappers already capture exceptions
-   into the batch's error slots, so anything escaping here would be a pool
-   bug — but a worker domain must never die with tasks outstanding, or the
-   batch would hang. The decrement is what publishes the task's writes to
-   the joining caller (Atomic gives the happens-before edge). *)
-let run_task t task =
-  (try task () with _ -> ());
-  ignore (Atomic.fetch_and_add t.remaining (-1))
-
-(* Work until the current batch is drained: own deque first, then steal
-   round-robin. Runs on worker domains and, during [map], on the caller. *)
-let drain t w =
-  let n = Array.length t.deques in
-  (* Spin briefly on an empty scan, then sleep: a worker with nothing left
-     to steal must get off the core — on oversubscribed hosts (more domains
-     than cores) pure spinning starves whoever holds the last tasks. *)
-  let misses = ref 0 in
-  while Atomic.get t.remaining > 0 do
-    match Deque.pop t.deques.(w) with
-    | Some task ->
-        run_task t task;
-        misses := 0
-    | None ->
-        let stolen = ref None in
-        let i = ref 1 in
-        while !stolen = None && !i < n do
-          (match Deque.steal t.deques.((w + !i) mod n) with
-          | Some task -> stolen := Some task
-          | None -> ());
-          incr i
-        done;
-        (match !stolen with
-        | Some task ->
-            run_task t task;
-            misses := 0
-        | None ->
-            incr misses;
-            if !misses < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002)
-  done
-
-let worker_body t w =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock t.lock;
-    while (not t.quit) && t.generation = !last_gen do
-      Condition.wait t.cond t.lock
-    done;
-    let gen = t.generation and quit = t.quit in
-    Mutex.unlock t.lock;
-    if quit then running := false
-    else begin
-      last_gen := gen;
-      drain t w
+(* Claim and run indices until the cursor passes the end. The [finished]
+   increment publishes the task's result slot to the caller (Atomic gives
+   the happens-before edge); whoever finishes the last task wakes it. *)
+let work t b =
+  let rec claim () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.size then begin
+      b.run i;
+      if Atomic.fetch_and_add b.finished 1 = b.size - 1 then
+        Mutex.protect t.lock (fun () -> Condition.broadcast t.drained);
+      claim ()
     end
-  done
+  in
+  claim ()
+
+(* A worker reads the batch under the lock, so one that wakes late simply
+   sees the newest batch, or [idle] once that batch has drained; a finished
+   batch's cursor is past its end, so nothing of it is ever run twice. *)
+let rec worker t seen =
+  Mutex.lock t.lock;
+  while (not t.quit) && t.generation = seen do
+    Condition.wait t.posted t.lock
+  done;
+  let quit = t.quit and gen = t.generation and b = t.current in
+  Mutex.unlock t.lock;
+  if not quit then begin
+    work t b;
+    worker t gen
+  end
 
 let create ?domains () =
   let domains =
@@ -148,26 +70,25 @@ let create ?domains () =
   let t =
     {
       domains;
-      deques = Array.init domains (fun _ -> Deque.create ());
-      remaining = Atomic.make 0;
       lock = Mutex.create ();
-      cond = Condition.create ();
+      posted = Condition.create ();
+      drained = Condition.create ();
+      current = idle;
       generation = 0;
       quit = false;
       handles = [];
       alive = true;
     }
   in
-  t.handles <- List.init (domains - 1) (fun k -> Domain.spawn (fun () -> worker_body t (k + 1)));
+  t.handles <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t 0));
   t
 
 let shutdown t =
   if t.alive then begin
     t.alive <- false;
-    Mutex.lock t.lock;
-    t.quit <- true;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
+    Mutex.protect t.lock (fun () ->
+        t.quit <- true;
+        Condition.broadcast t.posted);
     List.iter Domain.join t.handles;
     t.handles <- []
   end
@@ -182,24 +103,20 @@ let map t f arr =
   if n = 0 then [||]
   else if t.domains = 1 then Array.map f arr (* sequential fallback *)
   else begin
-    let results = Array.make n None in
-    let errors = Array.make n None in
-    for i = 0 to n - 1 do
-      let task () =
-        match f arr.(i) with
-        | v -> results.(i) <- Some v
-        | exception e -> errors.(i) <- Some e
-      in
-      Deque.push t.deques.(i mod t.domains) task
-    done;
-    Atomic.set t.remaining n;
-    Mutex.lock t.lock;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    drain t 0;
-    (* remaining = 0: every task has run and its decrement ordered its
-       writes before our read — the result slots are all published. *)
-    Array.iteri (fun i e -> match e with Some exn -> raise exn | None -> ignore i) errors;
-    Array.map Option.get results
+    let results = Array.make n (Error Exit) in
+    let run i = results.(i) <- (match f arr.(i) with v -> Ok v | exception e -> Error e) in
+    let b = { size = n; run; next = Atomic.make 0; finished = Atomic.make 0 } in
+    Mutex.protect t.lock (fun () ->
+        t.current <- b;
+        t.generation <- t.generation + 1;
+        Condition.broadcast t.posted);
+    work t b;
+    Mutex.protect t.lock (fun () ->
+        while Atomic.get b.finished < n do
+          Condition.wait t.drained t.lock
+        done;
+        t.current <- idle);
+    (* Every slot is written; [Array.map] scans left to right, so the
+       leftmost failure is the one re-raised. *)
+    Array.map (function Ok v -> v | Error e -> raise e) results
   end

@@ -1,13 +1,16 @@
-(** A hand-rolled, dependency-free domain pool for embarrassingly parallel
-    per-routine work (ROADMAP item 1): a fixed worker set — the calling
-    domain plus [domains - 1] spawned ones — each with its own
-    mutex-protected work deque, idle workers stealing from the others.
+(** A fixed domain pool for embarrassingly parallel per-routine work: the
+    calling domain plus [domains - 1] persistent spawned ones, built only
+    from [Domain], [Atomic], [Mutex] and [Condition].
 
-    The pool is batch-oriented: {!map} distributes one array of independent
-    tasks round-robin across the worker deques, wakes the workers, joins in
-    as a worker itself, and returns when every task has finished. Results
-    come back in input order regardless of execution interleaving, which is
-    what the parallel driver's determinism guarantee is built on.
+    The pool is batch-oriented. {!map} posts one array of independent
+    tasks, wakes the workers and joins in as a worker itself. Every worker
+    claims the next unclaimed index from the batch's shared atomic cursor
+    until the cursor passes the end, so a domain that finishes early takes
+    more tasks and no index runs twice. The task that completes the batch
+    wakes the caller, and {!map} returns. Idle workers sleep on a condition
+    variable rather than poll. Results come back in input order regardless
+    of execution interleaving, which is what the parallel driver's
+    determinism guarantee is built on.
 
     With [domains = 1] no domain is ever spawned and {!map} degrades to a
     plain sequential [Array.map] — the graceful fallback for single-core
@@ -38,7 +41,7 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     abandoned mid-flight).
 
     Only the owning (creating) domain may call [map], and batches do not
-    nest: calling [map] from inside a task deadlocks. *)
+    nest: calling [map] from inside a task is unsupported. *)
 
 val shutdown : t -> unit
 (** Join the spawned domains. Idempotent; the pool must not be used

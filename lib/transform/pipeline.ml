@@ -6,10 +6,7 @@
    The pipeline is an ordered list of {!Pass.t} descriptors — name, kind,
    transform, optional certifier — run by {!run_list}. The classic lineup
    (CFG cleanup, analyses, LVN, DCE, GVN + rewrite, cleanup, with GCM
-   optionally appended after the last round) is {!standard_passes}, and the
-   legacy single-shape entry point {!run_with} is now just
-   [run_list opts (standard_passes opts)] — pinned behaviorally equivalent
-   by test, as was done for the PR 5 run → run_with migration.
+   optionally appended after the last round) is {!standard_passes}.
 
    With [Options.check] the {!Check} verifier runs after every pass and the
    first broken invariant is attributed to the pass that introduced it. A
@@ -312,6 +309,3 @@ let run_list (opts : Options.t) (passes : Pass.t list) (f : Ir.Func.t) : result 
     validation = (match validate with None -> None | Some _ -> Some !vreport);
     crosschecks = List.rev !xreports;
   }
-
-let run_with (opts : Options.t) (f : Ir.Func.t) : result =
-  run_list opts (standard_passes opts) f

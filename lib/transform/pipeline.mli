@@ -5,11 +5,8 @@
     The pipeline is an ordered list of {!Pass.t} descriptors run by
     {!run_list}; {!standard_passes} builds the classic lineup (per round:
     CFG cleanup, analyses, LVN, DCE, GVN + rewrite, cleanup; with
-    [Options.gcm], one GCM pass after the last round), and {!run_with} is
-    the legacy single-shape entry point, now a thin wrapper over
-    [run_list opts (standard_passes opts)] — kept behaviorally equivalent
-    for one release (pinned by test) for the PR 5-era callers; new callers
-    should compose a pass list.
+    [Options.gcm], one GCM pass after the last round). The one way to run
+    it is [run_list opts passes].
 
     Every pass instance is an {!Obs} span (category ["pass"]); the
     [timings] list is a view over those spans — there is no second
@@ -51,7 +48,7 @@ type result = {
 
     {[
       Pipeline.Options.(default |> with_rounds 1 |> with_check true)
-      |> fun opts -> Pipeline.run_with opts f
+      |> fun opts -> Pipeline.run_list opts (Pipeline.standard_passes opts) f
     ]} *)
 module Options : sig
   type t = {
@@ -182,10 +179,3 @@ val run_list : Options.t -> Pass.t list -> Ir.Func.t -> result
     spans, counters and histograms land in the caller's context.
     [Options.rounds] and [Options.gcm] only shape {!standard_passes} — an
     explicit pass list is run exactly as given. *)
-
-val run_with : Options.t -> Ir.Func.t -> result
-(** @deprecated The legacy fixed-shape entry point:
-    [run_list opts (standard_passes opts)]. Kept behaviorally equivalent
-    (pinned by test) for one release; new callers should use {!run_list}
-    over an explicit pass list, or {!standard_passes} to start from the
-    classic lineup. *)

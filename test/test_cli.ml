@@ -40,6 +40,18 @@ let test_exit_clean () =
      position keeps the file from being parsed as the mode. *)
   Alcotest.(check int) "bare --analyze" 0 (run [ p; "--analyze" ])
 
+(* The cmdliner optional-value trap: a bare mode flag written before a
+   file name reads that name as its mode and exits 2. The documented forms
+   put the bare flag after the files, or spell the mode out. *)
+let test_optional_value_flag_forms () =
+  let p = clean_mc () in
+  List.iter
+    (fun (flag, mode) ->
+      Alcotest.(check int) (p ^ " " ^ flag) 0 (run [ p; flag ]);
+      Alcotest.(check int) (flag ^ "=" ^ mode ^ " file") 0 (run [ flag ^ "=" ^ mode; p ]);
+      Alcotest.(check int) (flag ^ " file reads the file as the mode") 2 (run [ flag; p ]))
+    [ ("--gcm", "check"); ("--schedule", "check"); ("--pred", "check"); ("--analyze", "gvn") ]
+
 let test_exit_analyze () =
   let p = clean_mc () in
   Alcotest.(check int) "--analyze=gvn" 0 (run [ "--analyze=gvn"; p ]);
@@ -415,4 +427,6 @@ let suite =
     Alcotest.test_case "--cache persisted tier round-trips" `Quick test_cache_round_trip;
     Alcotest.test_case "exit 2 on parse errors" `Quick test_exit_parse_error;
     Alcotest.test_case "exit 2 on usage errors" `Quick test_exit_usage_error;
+    Alcotest.test_case "mode flags: trailing and =MODE forms, leading bare form exits 2" `Quick
+      test_optional_value_flag_forms;
   ]

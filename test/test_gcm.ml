@@ -38,7 +38,7 @@ let test_corpus_certified () =
         Alcotest.failf "%s: plan rejected: %s" name
           (Check.Diagnostic.to_string (List.hd diagnostics))
     | g, (s : Gcm.stats) ->
-        ignore (Ssa.Verify.check g);
+        ignore (Check.check_exn g);
         Alcotest.(check int)
           (name ^ ": same block count") (Ir.Func.num_blocks f) (Ir.Func.num_blocks g);
         Alcotest.(check int)

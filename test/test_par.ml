@@ -1,4 +1,4 @@
-(* The parallel compilation service (lib/par): the work-stealing domain
+(* The parallel compilation service (lib/par): the shared-cursor domain
    pool's batch semantics, the corpus-wide determinism pin (parallel and
    sequential runs must render byte-identical output and merge to the same
    metrics), the content-addressed result cache's canonicalization and its
@@ -35,16 +35,88 @@ let test_pool_single_domain_fallback () =
       let out = Par.Pool.map pool string_of_int (Array.init 9 (fun i -> i)) in
       Alcotest.(check string) "sequential fallback" "8" out.(8))
 
+(* The --serve shape: one [map] per request, each a single routine. A lost
+   wake-up would hang here, and a worker straggling in from an earlier
+   batch would run a task twice or write into the wrong batch. *)
+let test_pool_many_one_element_batches () =
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      let runs = Atomic.make 0 in
+      for i = 1 to 500 do
+        let out =
+          Par.Pool.map pool
+            (fun x ->
+              Atomic.incr runs;
+              x * 2)
+            [| i |]
+        in
+        if out <> [| 2 * i |] then Alcotest.failf "batch %d answered wrongly" i
+      done;
+      Alcotest.(check int) "each task ran exactly once" 500 (Atomic.get runs))
+
+(* Fewer tasks than workers: the idle workers must find the cursor past
+   the end and go back to sleep without blocking the join. *)
+let test_pool_batch_smaller_than_pool () =
+  Par.Pool.with_pool ~domains:4 (fun pool ->
+      for n = 1 to 3 do
+        for round = 1 to 20 do
+          let out = Par.Pool.map pool (fun i -> i + round) (Array.init n (fun i -> i)) in
+          Alcotest.(check (array int))
+            (Printf.sprintf "%d-element batch" n)
+            (Array.init n (fun i -> i + round))
+            out
+        done
+      done)
+
+(* After [map] returns, the pool must not hold the batch's closure: in
+   --serve that would keep the last request's routines and outputs alive
+   until the next request. A worker may still be leaving the drained
+   batch when [map] returns, so the weak pointer gets a few collections to
+   clear. *)
+let test_pool_releases_drained_batch () =
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      let w = Weak.create 1 in
+      let run () =
+        let input = Array.init 8 (fun i -> ref i) in
+        Weak.set w 0 (Some input);
+        ignore (Sys.opaque_identity (Par.Pool.map pool (fun r -> !r + 1) input))
+      in
+      run ();
+      let rec cleared tries =
+        Gc.full_major ();
+        (not (Weak.check w 0)) || (tries > 0 && (Unix.sleepf 0.01; cleared (tries - 1)))
+      in
+      Alcotest.(check bool) "batch input collected" true (cleared 50))
+
 exception Boom of int
+
+let spin n =
+  let acc = ref 0 in
+  for k = 1 to n do
+    acc := !acc lxor (k * 7)
+  done;
+  Sys.opaque_identity !acc
 
 let test_pool_exception_leftmost () =
   Par.Pool.with_pool ~domains:3 (fun pool ->
       let f i = if i mod 4 = 2 then raise (Boom i) else i in
       (* Failures at 2, 6, 10, ...: the leftmost (index 2) must be the one
          re-raised, whatever order the workers hit them in. *)
-      match Par.Pool.map pool f (Array.init 12 (fun i -> i)) with
+      (match Par.Pool.map pool f (Array.init 12 (fun i -> i)) with
       | _ -> Alcotest.fail "expected Boom"
-      | exception Boom i -> Alcotest.(check int) "leftmost failure wins" 2 i)
+      | exception Boom i -> Alcotest.(check int) "leftmost failure wins" 2 i);
+      (* Uneven costs: the leftmost failure is the slowest task, so later
+         failures finish first on other domains; it must still win, and
+         only after the whole batch has run. *)
+      let ran = Atomic.make 0 in
+      let g i =
+        ignore (spin (if i = 1 then 5_000_000 else 1_000));
+        Atomic.incr ran;
+        if i = 1 || i >= 6 then raise (Boom i) else i
+      in
+      (match Par.Pool.map pool g (Array.init 12 (fun i -> i)) with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom i -> Alcotest.(check int) "slow leftmost failure wins" 1 i);
+      Alcotest.(check int) "batch drained before the raise" 12 (Atomic.get ran))
 
 let test_pool_invalid_arguments () =
   Alcotest.check_raises "domains = 0" (Invalid_argument "Par.Pool.create: domains must be >= 1")
@@ -159,7 +231,7 @@ let test_ccache_canonical_block_permutation () =
   Alcotest.(check string)
     "block layout erased" (Par.Ccache.canonical_form a) (Par.Ccache.canonical_form b);
   let ka = Par.Ccache.key_of a and kb = Par.Ccache.key_of b in
-  Alcotest.(check int) "hashes agree" ka.Par.Ccache.khash kb.Par.Ccache.khash
+  Alcotest.(check bool) "keys agree" true (ka = kb)
 
 let test_ccache_canonical_distinguishes () =
   let f = func_of_src "routine F(A) { return A + 1; }" in
@@ -170,8 +242,7 @@ let test_ccache_canonical_distinguishes () =
      different flags, different key. *)
   let k1 = Par.Ccache.key_of ~fingerprint:"flags=a" f in
   let k2 = Par.Ccache.key_of ~fingerprint:"flags=b" f in
-  Alcotest.(check bool) "fingerprint separates keys" false
-    (String.equal k1.Par.Ccache.kcanon k2.Par.Ccache.kcanon)
+  Alcotest.(check bool) "fingerprint separates keys" false (k1 = k2)
 
 (* ------------------------------------------------------------------ *)
 (* Ccache: in-memory tier.                                             *)
@@ -203,7 +274,9 @@ let test_ccache_hit_miss_evict () =
 
 (* Same routine, different flag fingerprints (the gvnopt --gcm toggle is
    one): a result cached under one fingerprint must never answer a lookup
-   under another, and each fingerprint's entry must come back verbatim. *)
+   under another, and each fingerprint's entry must come back verbatim.
+   Fingerprints differing only in their last byte give keys that differ
+   only deep inside the canonical form — the lookup must still miss. *)
 let test_ccache_fingerprint_hit_miss () =
   let c = Par.Ccache.create () in
   let f = func_of_src "routine F(A) { return A * 7; }" in
@@ -216,20 +289,12 @@ let test_ccache_fingerprint_hit_miss () =
     (Some "no motion") (Par.Ccache.find c k_off);
   Alcotest.(check (option string)) "same-flags lookup hits" (Some "hoisted")
     (Par.Ccache.find c k_on);
+  let k_near = Par.Ccache.key_of ~fingerprint:"gcm=oo" f in
+  Alcotest.(check (option string)) "last-byte-different fingerprint misses" None
+    (Par.Ccache.find c k_near);
   let s = Par.Ccache.stats c in
-  Alcotest.(check int) "one cross-flag miss" 1 s.Par.Ccache.misses;
+  Alcotest.(check int) "two cross-flag misses" 2 s.Par.Ccache.misses;
   Alcotest.(check int) "two same-flag hits" 2 s.Par.Ccache.hits
-
-let test_ccache_collision_verifies () =
-  let c = Par.Ccache.create () in
-  let k = key_of_src "routine F(A) { return A * 3; }" in
-  Par.Ccache.add c k "real";
-  (* A forged key with the same structural hash but a different canonical
-     form models a hash collision: verify-on-hit must answer a miss, never
-     the colliding entry's result. *)
-  let forged = { k with Par.Ccache.kcanon = k.Par.Ccache.kcanon ^ "tampered" } in
-  Alcotest.(check (option string)) "collision is a miss" None (Par.Ccache.find c forged);
-  Alcotest.(check (option string)) "real key still hits" (Some "real") (Par.Ccache.find c k)
 
 let test_ccache_concurrent_access () =
   (* Two domains hammering one cache: no torn entries, every hit verified. *)
@@ -273,6 +338,36 @@ let test_ccache_persist_round_trip () =
   Alcotest.(check (option string)) "empty value restored" (Some "") (Par.Ccache.find c' k2);
   Sys.remove path
 
+(* A pgvn-ccache/1 file as written before the in-memory tier was keyed by
+   the canonical form: the format is unchanged, so it must load warm,
+   answer both entries (the empty value too) and re-save byte for byte. *)
+let v1_fixture =
+  "pgvn-ccache/1\n2\n4137411079770228540 112 14\npgvn-key/1\nname=F nparams=1 fp=2:fp\nb0:\n\
+  \  v0 = const 0\n  v1 = param 0\n  v2 = const 1\n  v3 = + v1 v2\n  return v3\n\
+   0first\nsecond\n\n1158697335910727761 110 0\npgvn-key/1\nname=G nparams=2 fp=0:\nb0:\n\
+  \  v0 = const 0\n  v1 = param 0\n  v2 = param 1\n  v3 = * v1 v2\n  return v3\n\n"
+
+let test_ccache_loads_v1_file () =
+  let path = tmp "v1.bin" in
+  let oc = open_out_bin path in
+  output_string oc v1_fixture;
+  close_out oc;
+  let c = Par.Ccache.load path in
+  Sys.remove path;
+  Alcotest.(check int) "entries restored" 2 (Par.Ccache.stats c).Par.Ccache.entries;
+  let kf = Par.Ccache.key_of ~fingerprint:"fp" (func_of_src "routine F(A) { return A + 1; }") in
+  let kg = Par.Ccache.key_of (func_of_src "routine G(A, B) { return A * B; }") in
+  Alcotest.(check (option string)) "F answers warm" (Some "0first\nsecond\n") (Par.Ccache.find c kf);
+  Alcotest.(check (option string)) "G answers warm" (Some "") (Par.Ccache.find c kg);
+  (* saving it again reproduces the file byte for byte *)
+  let path' = tmp "v1_resaved.bin" in
+  Par.Ccache.save c path';
+  let ic = open_in_bin path' in
+  let again = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path';
+  Alcotest.(check string) "re-save is byte-identical" v1_fixture again
+
 let test_ccache_corrupt_loads_cold () =
   let cold_from contents name =
     let path = tmp name in
@@ -288,6 +383,10 @@ let test_ccache_corrupt_loads_cold () =
   Alcotest.(check int) "garbage" 0 (cold_from "not a cache file at all" "garbage.bin");
   Alcotest.(check int) "wrong version" 0 (cold_from "pgvn-ccache/99\n0\n" "badver.bin");
   Alcotest.(check int) "bad count" 0 (cold_from "pgvn-ccache/1\nfive\n" "badcount.bin");
+  (* One canonical-form byte flipped (the fixture's only '+'), lengths
+     intact: the integrity hash no longer matches. *)
+  let tampered = String.map (function '+' -> '-' | c -> c) v1_fixture in
+  Alcotest.(check int) "hash mismatch" 0 (cold_from tampered "badhash.bin");
   (* A valid prefix then truncation mid-entry: still a cold cache. *)
   let c = Par.Ccache.create () in
   Par.Ccache.add c (key_of_src "routine F(A) { return A; }") "v";
@@ -311,6 +410,12 @@ let suite =
       test_pool_single_domain_fallback;
     Alcotest.test_case "leftmost task exception is re-raised" `Quick test_pool_exception_leftmost;
     Alcotest.test_case "pool argument and lifecycle errors" `Quick test_pool_invalid_arguments;
+    Alcotest.test_case "500 one-element batches on two domains" `Quick
+      test_pool_many_one_element_batches;
+    Alcotest.test_case "batches smaller than the pool" `Quick test_pool_batch_smaller_than_pool;
+    Alcotest.test_case "a drained batch is not kept alive" `Quick
+      test_pool_releases_drained_batch;
+
     Alcotest.test_case "parallel == sequential over the corpus" `Slow test_corpus_determinism;
     Alcotest.test_case "two raw domains match the sequential pipeline" `Quick
       test_two_domain_pipeline_matches_sequential;
@@ -321,8 +426,8 @@ let suite =
     Alcotest.test_case "cache hit, miss, overwrite and eviction" `Quick test_ccache_hit_miss_evict;
     Alcotest.test_case "flag fingerprints never cross-serve" `Quick
       test_ccache_fingerprint_hit_miss;
-    Alcotest.test_case "hash collision verifies to a miss" `Quick test_ccache_collision_verifies;
     Alcotest.test_case "two domains share one cache safely" `Quick test_ccache_concurrent_access;
     Alcotest.test_case "persisted tier round-trips" `Quick test_ccache_persist_round_trip;
+    Alcotest.test_case "pgvn-ccache/1 fixture loads warm" `Quick test_ccache_loads_v1_file;
     Alcotest.test_case "corrupted persisted tier loads cold" `Quick test_ccache_corrupt_loads_cold;
   ]

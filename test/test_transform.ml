@@ -9,7 +9,7 @@ let preserves name pass =
     (fun seed ->
       let f = gen_func seed in
       let g = pass f in
-      ignore (Ssa.Verify.check g);
+      ignore (Check.check_exn g);
       Helpers.equivalent ~seed:(seed + 2) f g)
 
 let prop_dce = preserves "DCE preserves semantics" Transform.Dce.run
@@ -24,7 +24,7 @@ let prop_apply_all_configs =
       List.for_all
         (fun (_, config) ->
           let g = Transform.Apply.optimize ~config f in
-          ignore (Ssa.Verify.check g);
+          ignore (Check.check_exn g);
           Helpers.equivalent ~seed:(seed + 3) f g)
         Helpers.all_configs)
 
@@ -74,7 +74,7 @@ let prop_simplify_equiv =
     (fun seed ->
       let f = gen_func seed in
       let g = Transform.Simplify_cfg.fixpoint f in
-      ignore (Ssa.Verify.check g);
+      ignore (Check.check_exn g);
       (* Block merging and edge folding re-home φ arguments; any slip shows
          up as a behavioral divergence on the battery. *)
       Validate.Equiv.ok (Validate.Equiv.check ~runs:4 ~pass:"simplify_cfg" f g))
@@ -88,7 +88,7 @@ let prop_pipeline =
     (fun seed ->
       let f = gen_func seed in
       let r = run_std Transform.Pipeline.Options.default f in
-      ignore (Ssa.Verify.check r.Transform.Pipeline.func);
+      ignore (Check.check_exn r.Transform.Pipeline.func);
       Helpers.equivalent ~seed:(seed + 4) f r.Transform.Pipeline.func)
 
 let prop_pipeline_monotone_size =
@@ -98,25 +98,6 @@ let prop_pipeline_monotone_size =
       let f = gen_func seed in
       let r = run_std Transform.Pipeline.Options.default f in
       Ir.Func.num_instrs r.Transform.Pipeline.func <= Ir.Func.num_instrs f)
-
-(* The deprecated wrapper's pin: [run_with opts] must behave exactly like
-   [run_list opts (standard_passes opts)] — same output function, same
-   pass lineup (names and kinds, in order), same accounting shape. *)
-let prop_run_with_equals_run_list =
-  QCheck.Test.make ~name:"run_with ≡ run_list (standard_passes)" ~count:25
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let f = gen_func seed in
-      let opts = Transform.Pipeline.Options.default in
-      let a = Transform.Pipeline.run_with opts f in
-      let b = run_std opts f in
-      a.Transform.Pipeline.func = b.Transform.Pipeline.func
-      && List.map
-           (fun t -> (t.Transform.Pipeline.pass, t.Transform.Pipeline.kind))
-           a.Transform.Pipeline.timings
-         = List.map
-             (fun t -> (t.Transform.Pipeline.pass, t.Transform.Pipeline.kind))
-             b.Transform.Pipeline.timings)
 
 let test_dce_removes_dead () =
   let f =
@@ -220,7 +201,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_apply_all_configs;
     QCheck_alcotest.to_alcotest prop_pipeline;
     QCheck_alcotest.to_alcotest prop_pipeline_monotone_size;
-    QCheck_alcotest.to_alcotest prop_run_with_equals_run_list;
     Alcotest.test_case "DCE removes dead code" `Quick test_dce_removes_dead;
     Alcotest.test_case "LVN removes local redundancy" `Quick test_lvn_removes_block_redundancy;
     Alcotest.test_case "LVN folds constants" `Quick test_lvn_folds_constants;
